@@ -25,6 +25,8 @@
 //       the point, so coordinated-omission effects are attributable: under
 //       overload the client-side p99 decomposes into queue-wait vs
 //       batch-wait vs compute instead of being a single opaque number.
+//       The run fails when a point's stage means do not add up to its
+//       serve.request.latency_us mean within 10% + 50 us.
 //   bench.serve.responses_total         total tagged responses, all points
 //
 // After the f32 sweep, one extra frontier point is replayed at the highest
@@ -48,6 +50,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -131,6 +134,12 @@ constexpr const char* kStages[] = {"queue_wait", "batch_wait", "compute",
                                    "write"};
 constexpr int kNumStages = 4;
 
+// A point's stage means must add up to its serve.request.latency_us mean
+// within this share of the latency plus this slack (the tolerance of
+// perfbench's serve_mixed reconcile); a breakdown that does not is a bug.
+constexpr double kReconcileShare = 0.10;
+constexpr double kReconcileSlackUs = 50.0;
+
 struct PointResult {
   double offered_rps = 0.0;
   double load_factor = 0.0;
@@ -142,33 +151,44 @@ struct PointResult {
   // Per-stage server-side percentiles over this point only.
   double stage_p50_us[kNumStages] = {};
   double stage_p99_us[kNumStages] = {};
+  // Server-side means over this point: serve.request.latency_us, and the
+  // sum of the four stage means.
+  double latency_mean_us = 0.0;
+  double stage_sum_us = 0.0;
+
+  bool Reconciles() const {
+    return std::abs(latency_mean_us - stage_sum_us) <=
+           kReconcileShare * latency_mean_us + kReconcileSlackUs;
+  }
 };
 
-obs::HistogramSnapshot StageSnapshot(int stage) {
-  return obs::Metrics::Get()
-      .histogram(std::string("serve.stage.") + kStages[stage] + "_us")
-      ->Snapshot();
+// The server's lifetime histograms a point is read from: the end-to-end
+// latency first, then one per stage in kStages order.
+constexpr const char* kHists[] = {
+    "serve.request.latency_us", "serve.stage.queue_wait_us",
+    "serve.stage.batch_wait_us", "serve.stage.compute_us",
+    "serve.stage.write_us"};
+constexpr int kNumHists = 1 + kNumStages;
+
+obs::HistogramSnapshot HistSnapshot(int h) {
+  return obs::Metrics::Get().histogram(kHists[h])->Snapshot();
 }
 
-// Percentiles of the observations recorded between `before` and `after`.
-// min/max are lifetime values (they only clamp the interpolation), which is
-// fine: each point's observations dominate its own delta buckets.
-void StageDelta(const obs::HistogramSnapshot& before,
-                const obs::HistogramSnapshot& after, double* p50_us,
-                double* p99_us) {
-  obs::HistogramSnapshot d = after;
-  d.count -= before.count;
-  d.sum -= before.sum;
+// The observations recorded between `before` and `after`. min/max are
+// lifetime values (they only clamp the interpolation), which is fine: each
+// point's observations dominate its own delta buckets.
+obs::HistogramSnapshot Delta(const obs::HistogramSnapshot& before,
+                             obs::HistogramSnapshot after) {
+  after.count -= before.count;
+  after.sum -= before.sum;
   for (int b = 0; b < obs::HistogramSnapshot::kBuckets; ++b) {
-    d.buckets[b] -= before.buckets[b];
+    after.buckets[b] -= before.buckets[b];
   }
-  if (d.count <= 0) {
-    *p50_us = 0.0;
-    *p99_us = 0.0;
-    return;
-  }
-  *p50_us = d.Percentile(0.50);
-  *p99_us = d.Percentile(0.99);
+  return after;
+}
+
+double Mean(const obs::HistogramSnapshot& h) {
+  return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
 }
 
 std::int64_t IdOf(const std::string& line) {
@@ -177,13 +197,27 @@ std::int64_t IdOf(const std::string& line) {
   return std::atoll(line.c_str() + pos + 5);
 }
 
-double Percentile(std::vector<double>* sorted_inout, double p) {
+// q in [0, 1] over raw samples (sorts in place).
+double Quantile(std::vector<double>* sorted_inout, double q) {
   if (sorted_inout->empty()) return 0.0;
   std::sort(sorted_inout->begin(), sorted_inout->end());
   const std::size_t idx = std::min(
       sorted_inout->size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted_inout->size())));
+      static_cast<std::size_t>(q * static_cast<double>(sorted_inout->size())));
   return (*sorted_inout)[idx];
+}
+
+// Prints a point's server-side latency mean against its stage sum; false
+// (with the reason on stderr) when they do not reconcile.
+bool CheckReconciles(const PointResult& r, const std::string& label) {
+  std::printf("         server latency mean %.1f us, stage sum %.1f us\n",
+              r.latency_mean_us, r.stage_sum_us);
+  if (r.Reconciles()) return true;
+  std::fprintf(stderr,
+               "bench_serve: %s: stage means (%.1f us) do not add up to the "
+               "latency mean (%.1f us)\n",
+               label.c_str(), r.stage_sum_us, r.latency_mean_us);
+  return false;
 }
 
 // Pre-rendered request lines for a sentence pool; ids are assigned at send
@@ -236,8 +270,8 @@ PointResult RunPoint(int port, const std::vector<std::string>& bodies,
   result.offered_rps = offered_rps;
   result.load_factor = capacity_rps > 0.0 ? offered_rps / capacity_rps : 0.0;
 
-  obs::HistogramSnapshot stage_before[kNumStages];
-  for (int s = 0; s < kNumStages; ++s) stage_before[s] = StageSnapshot(s);
+  obs::HistogramSnapshot before[kNumHists];
+  for (int h = 0; h < kNumHists; ++h) before[h] = HistSnapshot(h);
 
   std::vector<std::unique_ptr<BenchConn>> conns;
   for (int i = 0; i < n_conns; ++i) {
@@ -317,11 +351,14 @@ PointResult RunPoint(int port, const std::vector<std::string>& bodies,
 
   result.responses = responses.load();
   result.rejected = rejected.load();
-  result.p50_us = Percentile(&latencies, 0.50);
-  result.p99_us = Percentile(&latencies, 0.99);
+  result.p50_us = Quantile(&latencies, 0.50);
+  result.p99_us = Quantile(&latencies, 0.99);
+  result.latency_mean_us = Mean(Delta(before[0], HistSnapshot(0)));
   for (int s = 0; s < kNumStages; ++s) {
-    StageDelta(stage_before[s], StageSnapshot(s), &result.stage_p50_us[s],
-               &result.stage_p99_us[s]);
+    const obs::HistogramSnapshot d = Delta(before[1 + s], HistSnapshot(1 + s));
+    result.stage_p50_us[s] = d.Percentile(50);
+    result.stage_p99_us[s] = d.Percentile(99);
+    result.stage_sum_us += Mean(d);
   }
   const double elapsed = static_cast<double>(drain_done - start) / 1e6;
   result.sentences_per_sec =
@@ -452,6 +489,9 @@ int main(int argc, char** argv) {
                 "compute %.2f  write %.2f\n",
                 r.stage_p99_us[0] / 1e3, r.stage_p99_us[1] / 1e3,
                 r.stage_p99_us[2] / 1e3, r.stage_p99_us[3] / 1e3);
+    if (!CheckReconciles(r, "point " + std::to_string(points.size()))) {
+      return 1;
+    }
     points.push_back(r);
   }
   server.Stop();
@@ -480,6 +520,7 @@ int main(int argc, char** argv) {
                 qpoint.p99_us / 1e3, qpoint.sentences_per_sec,
                 static_cast<long long>(qpoint.rejected), qcapacity);
     qserver.Stop();
+    if (!CheckReconciles(qpoint, "int8 frontier point")) return 1;
   }
 
   obs::Metrics& m = obs::Metrics::Get();

@@ -9,9 +9,8 @@
 // committed):
 //   bench.eager.<model>.sentences_per_sec    eager path, 1 thread
 //   bench.planned.<model>.sentences_per_sec  plan path, thread sweep 1..8
-//   bench.throughput.<model>.sentences_per_sec  alias of the planned sweep
 //   bench.plan_speedup.<model>               planned(1t) / eager(1t)
-//   bench.throughput.<model>.speedup_4t      only when the host has >1 core
+//   bench.speedup_4t.<model>                 only when the host has >1 core
 // On a single-core host the 4-thread speedup is unmeasurable (the sweep
 // just adds scheduling noise), so speedup_4t is skipped and
 // bench.multithread_unmeasurable = 1 is recorded instead.
@@ -382,12 +381,9 @@ int main(int argc, char** argv) {
         ->Append(1.0, run.eager_1t);
     obs::Series* planned =
         m.series("bench.planned." + run.name + ".sentences_per_sec");
-    obs::Series* legacy =
-        m.series("bench.throughput." + run.name + ".sentences_per_sec");
     double t1 = 0.0, t4 = 0.0;
     for (std::size_t i = 0; i < run.threads.size(); ++i) {
       planned->Append(static_cast<double>(run.threads[i]), run.planned[i]);
-      legacy->Append(static_cast<double>(run.threads[i]), run.planned[i]);
       if (run.threads[i] == 1) t1 = run.planned[i];
       if (run.threads[i] == 4) t4 = run.planned[i];
     }
@@ -406,7 +402,7 @@ int main(int argc, char** argv) {
     // A 4-thread speedup measured on a single hardware thread is pure
     // scheduler noise (always < 1x); record it only when it means something.
     if (hw > 1) {
-      m.gauge("bench.throughput." + run.name + ".speedup_4t")
+      m.gauge("bench.speedup_4t." + run.name)
           ->Set(t1 > 0.0 ? t4 / t1 : 0.0);
     }
   }

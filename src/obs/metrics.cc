@@ -164,148 +164,31 @@ void Histogram::Reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-// --- Windowed instruments -----------------------------------------------
-//
-// Both windowed kinds share the same slot-ring discipline. A slot is owned
-// by epoch e = now_us / epoch_us at index e % epochs; it is lazily zeroed
-// and re-tagged (under its own mutex, once per turnover) the first time a
-// writer or reader touches it in a new epoch. The epoch tag is stored with
-// release order after zeroing so a relaxed-reading writer that sees the new
-// tag also sees the cleared payload.
-
-struct WindowedHistogram::Slot {
-  std::mutex mu;  // taken only to rotate the slot into a new epoch
-  std::atomic<std::int64_t> epoch{-1};
-  std::atomic<std::int64_t> buckets[HistogramSnapshot::kBuckets] = {};
-  std::atomic<std::int64_t> count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min{0.0};
-  std::atomic<double> max{0.0};
-};
-
-WindowedHistogram::WindowedHistogram(std::int64_t epoch_us, int epochs)
-    : epoch_us_(epoch_us > 0 ? epoch_us : 1),
-      epochs_(epochs > 0 ? epochs : 1),
-      slots_(new Slot[static_cast<std::size_t>(epochs_)]) {}
-
-WindowedHistogram::~WindowedHistogram() = default;
-
-WindowedHistogram::Slot* WindowedHistogram::SlotFor(std::int64_t epoch) {
-  Slot* slot = &slots_[static_cast<std::size_t>(epoch % epochs_)];
-  if (slot->epoch.load(std::memory_order_acquire) != epoch) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (slot->epoch.load(std::memory_order_relaxed) != epoch) {
-      for (auto& b : slot->buckets) b.store(0, std::memory_order_relaxed);
-      slot->count.store(0, std::memory_order_relaxed);
-      slot->sum.store(0.0, std::memory_order_relaxed);
-      slot->min.store(0.0, std::memory_order_relaxed);
-      slot->max.store(0.0, std::memory_order_relaxed);
-      slot->epoch.store(epoch, std::memory_order_release);
-    }
-  }
-  return slot;
-}
-
 void WindowedHistogram::Observe(double v, std::uint64_t now_us) {
-  if (!(v >= 0.0)) v = 0.0;  // clamp negatives and NaN, like Histogram
-  Slot* slot = SlotFor(static_cast<std::int64_t>(now_us) / epoch_us_);
-  const std::uint64_t sample =
-      v >= 9.2e18 ? ~0ull : static_cast<std::uint64_t>(std::llround(v));
-  slot->buckets[BucketIndex(sample)].fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t n = slot->count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&slot->sum, v);
-  if (n == 0) {
-    slot->min.store(v, std::memory_order_relaxed);
-    AtomicMaxDouble(&slot->max, v);
-  } else {
-    AtomicMinDouble(&slot->min, v);
-    AtomicMaxDouble(&slot->max, v);
-  }
+  Current(now_us).Observe(v);
+  if (lifetime_ != nullptr) lifetime_->Observe(v);
 }
 
 HistogramSnapshot WindowedHistogram::Read(std::uint64_t now_us) const {
-  const std::int64_t current = static_cast<std::int64_t>(now_us) / epoch_us_;
   HistogramSnapshot merged;
-  for (int i = 0; i < epochs_; ++i) {
-    const Slot& slot = slots_[static_cast<std::size_t>(i)];
-    const std::int64_t e = slot.epoch.load(std::memory_order_acquire);
-    // Only slots tagged with an epoch inside [current - epochs + 1,
-    // current] are part of the rolling window; anything older is a stale
-    // slot awaiting rotation.
-    if (e < 0 || e > current || current - e >= epochs_) continue;
-    HistogramSnapshot s;
-    s.count = slot.count.load(std::memory_order_relaxed);
-    s.sum = slot.sum.load(std::memory_order_relaxed);
-    s.min = slot.min.load(std::memory_order_relaxed);
-    s.max = slot.max.load(std::memory_order_relaxed);
-    for (int b = 0; b < HistogramSnapshot::kBuckets; ++b) {
-      s.buckets[b] = slot.buckets[b].load(std::memory_order_relaxed);
-    }
-    merged.Merge(s);
-  }
+  ForEachLive(now_us,
+              [&merged](const Histogram& h) { merged.Merge(h.Snapshot()); });
   return merged;
 }
 
-void WindowedHistogram::Reset() {
-  for (int i = 0; i < epochs_; ++i) {
-    Slot& slot = slots_[static_cast<std::size_t>(i)];
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.epoch.store(-1, std::memory_order_release);
-  }
-}
-
-struct WindowedCounter::Slot {
-  std::mutex mu;
-  std::atomic<std::int64_t> epoch{-1};
-  std::atomic<std::int64_t> value{0};
-};
-
-WindowedCounter::WindowedCounter(std::int64_t epoch_us, int epochs)
-    : epoch_us_(epoch_us > 0 ? epoch_us : 1),
-      epochs_(epochs > 0 ? epochs : 1),
-      slots_(new Slot[static_cast<std::size_t>(epochs_)]) {}
-
-WindowedCounter::~WindowedCounter() = default;
-
-WindowedCounter::Slot* WindowedCounter::SlotFor(std::int64_t epoch) {
-  Slot* slot = &slots_[static_cast<std::size_t>(epoch % epochs_)];
-  if (slot->epoch.load(std::memory_order_acquire) != epoch) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (slot->epoch.load(std::memory_order_relaxed) != epoch) {
-      slot->value.store(0, std::memory_order_relaxed);
-      slot->epoch.store(epoch, std::memory_order_release);
-    }
-  }
-  return slot;
-}
-
 void WindowedCounter::Add(std::int64_t n, std::uint64_t now_us) {
-  SlotFor(static_cast<std::int64_t>(now_us) / epoch_us_)
-      ->value.fetch_add(n, std::memory_order_relaxed);
+  Current(now_us).Add(n);
+  if (lifetime_ != nullptr) lifetime_->Add(n);
 }
 
 std::int64_t WindowedCounter::WindowTotal(std::uint64_t now_us) const {
-  const std::int64_t current = static_cast<std::int64_t>(now_us) / epoch_us_;
   std::int64_t total = 0;
-  for (int i = 0; i < epochs_; ++i) {
-    const Slot& slot = slots_[static_cast<std::size_t>(i)];
-    const std::int64_t e = slot.epoch.load(std::memory_order_acquire);
-    if (e < 0 || e > current || current - e >= epochs_) continue;
-    total += slot.value.load(std::memory_order_relaxed);
-  }
+  ForEachLive(now_us, [&total](const Counter& c) { total += c.value(); });
   return total;
 }
 
 double WindowedCounter::RatePerSec(std::uint64_t now_us) const {
   return static_cast<double>(WindowTotal(now_us)) / window_seconds();
-}
-
-void WindowedCounter::Reset() {
-  for (int i = 0; i < epochs_; ++i) {
-    Slot& slot = slots_[static_cast<std::size_t>(i)];
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.epoch.store(-1, std::memory_order_release);
-  }
 }
 
 void Series::Append(double step, double value) {
@@ -357,23 +240,24 @@ Series* Metrics::series(const std::string& name) {
 }
 
 WindowedCounter* Metrics::windowed_counter(const std::string& name,
-                                           std::int64_t epoch_us,
-                                           int epochs) {
+                                           std::int64_t epoch_us, int epochs,
+                                           Counter* lifetime) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = windowed_counters_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<WindowedCounter>(epoch_us, epochs);
+    slot = std::make_unique<WindowedCounter>(epoch_us, epochs, lifetime);
   }
   return slot.get();
 }
 
 WindowedHistogram* Metrics::windowed_histogram(const std::string& name,
                                                std::int64_t epoch_us,
-                                               int epochs) {
+                                               int epochs,
+                                               Histogram* lifetime) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = windowed_histograms_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<WindowedHistogram>(epoch_us, epochs);
+    slot = std::make_unique<WindowedHistogram>(epoch_us, epochs, lifetime);
   }
   return slot.get();
 }

@@ -31,7 +31,11 @@ namespace dlner::obs {
 /// Monotonically increasing integer (events, bytes, calls).
 class Counter {
  public:
-  void Add(std::int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  /// Adds `n` and returns the post-add value (so a counter can also hand
+  /// out ids, e.g. the serve batch id).
+  std::int64_t Add(std::int64_t n = 1) {
+    return v_.fetch_add(n, std::memory_order_relaxed) + n;
+  }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -132,30 +136,111 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Sliding-window histogram: a ring of `epochs` fixed-duration slots, each
-/// a full power-of-two bucket table. Observations land in the slot for
-/// `now / epoch_us`; reading merges every slot still inside the window, so
-/// the result is a rolling histogram over the last `epochs * epoch_us`
+namespace internal {
+
+/// The slot ring both windowed kinds share: `epochs` fixed-duration slots,
+/// each a base instrument T (Histogram or Counter) plus its epoch tag. The
+/// slot for epoch e = now_us / epoch_us lives at index e % epochs; it is
+/// lazily zeroed and re-tagged (under its own mutex, once per turnover) the
+/// first time a writer touches it in a new epoch. The tag is stored with
+/// release order after zeroing, so a writer that sees the new tag also sees
+/// the cleared payload. Reading merges every slot still inside the window.
+///
+/// A windowed instrument may carry a lifetime twin: the registry T holding
+/// the all-time view of the same quantity. Every record lands in both, so
+/// one call per sample serves the rolling and the lifetime exports.
+///
+/// Lock discipline: recording into an already-current slot is relaxed
+/// atomics only, so writers contend only in the first microseconds of an
+/// epoch. One benign race is accepted: a writer stalled for longer than the
+/// entire window between loading `now` and recording may land its sample in
+/// a rotated slot, misattributing one observation by one window length —
+/// harmless for monitoring, and the tsan suite exercises the rotation.
+template <typename T>
+class WindowRing {
+ public:
+  std::int64_t epoch_us() const { return epoch_us_; }
+  int epochs() const { return epochs_; }
+  double window_seconds() const {
+    return static_cast<double>(epoch_us_) * epochs_ / 1e6;
+  }
+
+  /// The lifetime twin, or null when the instrument has none.
+  T* lifetime() const { return lifetime_; }
+
+  /// Empties the window and zeroes the lifetime twin.
+  void Reset() {
+    for (int i = 0; i < epochs_; ++i) {
+      Slot& slot = slots_[static_cast<std::size_t>(i)];
+      std::lock_guard<std::mutex> lock(slot.mu);
+      slot.epoch.store(-1, std::memory_order_release);
+    }
+    if (lifetime_ != nullptr) lifetime_->Reset();
+  }
+
+ protected:
+  WindowRing(std::int64_t epoch_us, int epochs, T* lifetime)
+      : lifetime_(lifetime),
+        epoch_us_(epoch_us > 0 ? epoch_us : 1),
+        epochs_(epochs > 0 ? epochs : 1),
+        slots_(new Slot[static_cast<std::size_t>(epochs_)]) {}
+
+  /// The slot instrument owning `now_us`'s epoch, zeroed first if it still
+  /// holds an older epoch's data.
+  T& Current(std::uint64_t now_us) {
+    const std::int64_t epoch = static_cast<std::int64_t>(now_us) / epoch_us_;
+    Slot& slot = slots_[static_cast<std::size_t>(epoch % epochs_)];
+    if (slot.epoch.load(std::memory_order_acquire) != epoch) {
+      std::lock_guard<std::mutex> lock(slot.mu);
+      if (slot.epoch.load(std::memory_order_relaxed) != epoch) {
+        slot.value.Reset();
+        slot.epoch.store(epoch, std::memory_order_release);
+      }
+    }
+    return slot.value;
+  }
+
+  /// Calls `f(const T&)` on every slot inside the window ending at
+  /// `now_us`: tagged with an epoch in [current - epochs + 1, current].
+  /// Anything older is a stale slot awaiting rotation.
+  template <typename F>
+  void ForEachLive(std::uint64_t now_us, F&& f) const {
+    const std::int64_t current = static_cast<std::int64_t>(now_us) / epoch_us_;
+    for (int i = 0; i < epochs_; ++i) {
+      const Slot& slot = slots_[static_cast<std::size_t>(i)];
+      const std::int64_t e = slot.epoch.load(std::memory_order_acquire);
+      if (e >= 0 && e <= current && current - e < epochs_) f(slot.value);
+    }
+  }
+
+  T* const lifetime_;
+
+ private:
+  struct Slot {
+    std::mutex mu;  // taken only to rotate the slot into a new epoch
+    std::atomic<std::int64_t> epoch{-1};
+    T value;
+  };
+
+  const std::int64_t epoch_us_;
+  const int epochs_;
+  std::unique_ptr<Slot[]> slots_;
+};
+
+}  // namespace internal
+
+/// Sliding-window histogram: a ring of `epochs` slots of `epoch_us` each,
+/// so Read() is a rolling histogram over the last `epochs * epoch_us`
 /// microseconds (e.g. 12 x 5 s = a one-minute window) that live scrapes
 /// can poll for current p50/p99 without lifetime averaging washing out a
-/// latency regression.
-///
-/// Lock discipline: the hot path (Observe into an already-current slot) is
-/// relaxed atomics only, same as Histogram. A slot is zeroed and re-tagged
-/// under its own mutex exactly once per epoch turnover, so writers only
-/// contend in the first microseconds of an epoch. One benign race is
-/// accepted and documented: a writer stalled for longer than the entire
-/// window between loading `now` and recording may land its sample in a
-/// rotated slot, misattributing one observation by one window length —
-/// harmless for monitoring, and the tsan suite exercises the rotation.
-class WindowedHistogram {
+/// latency regression. `lifetime`, when non-null, also receives every
+/// observation (see internal::WindowRing).
+class WindowedHistogram : public internal::WindowRing<Histogram> {
  public:
-  WindowedHistogram(std::int64_t epoch_us, int epochs);
+  WindowedHistogram(std::int64_t epoch_us, int epochs,
+                    Histogram* lifetime = nullptr)
+      : WindowRing(epoch_us, epochs, lifetime) {}
   WindowedHistogram() : WindowedHistogram(5'000'000, 12) {}
-  ~WindowedHistogram();
-
-  WindowedHistogram(const WindowedHistogram&) = delete;
-  WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
   void Observe(double v) { Observe(v, NowMicros()); }
   /// Explicit-clock overload (tests drive rotation deterministically).
@@ -164,39 +249,18 @@ class WindowedHistogram {
   /// Merged view of every slot inside the window ending at `now_us`.
   HistogramSnapshot Read(std::uint64_t now_us) const;
   HistogramSnapshot Read() const { return Read(NowMicros()); }
-
-  std::int64_t epoch_us() const { return epoch_us_; }
-  int epochs() const { return epochs_; }
-  double window_seconds() const {
-    return static_cast<double>(epoch_us_) * epochs_ / 1e6;
-  }
-
-  void Reset();
-
- private:
-  struct Slot;
-
-  /// The slot owning epoch `epoch`, zeroed and re-tagged if it still holds
-  /// an older epoch's data.
-  Slot* SlotFor(std::int64_t epoch);
-
-  const std::int64_t epoch_us_;
-  const int epochs_;
-  std::unique_ptr<Slot[]> slots_;
 };
 
-/// Sliding-window counter: same slot ring as WindowedHistogram but a single
-/// value per slot. `WindowTotal` is the rolling event count; `RatePerSec`
-/// divides by the window length, which is the live requests/errors-per-
-/// second a scrape wants.
-class WindowedCounter {
+/// Sliding-window counter: same slot ring with one Counter per slot.
+/// `WindowTotal` is the rolling event count; `RatePerSec` divides by the
+/// window length, which is the live requests/errors-per-second a scrape
+/// wants. `lifetime`, when non-null, also receives every Add.
+class WindowedCounter : public internal::WindowRing<Counter> {
  public:
-  WindowedCounter(std::int64_t epoch_us, int epochs);
+  WindowedCounter(std::int64_t epoch_us, int epochs,
+                  Counter* lifetime = nullptr)
+      : WindowRing(epoch_us, epochs, lifetime) {}
   WindowedCounter() : WindowedCounter(5'000'000, 12) {}
-  ~WindowedCounter();
-
-  WindowedCounter(const WindowedCounter&) = delete;
-  WindowedCounter& operator=(const WindowedCounter&) = delete;
 
   void Add(std::int64_t n = 1) { Add(n, NowMicros()); }
   void Add(std::int64_t n, std::uint64_t now_us);
@@ -205,23 +269,6 @@ class WindowedCounter {
   std::int64_t WindowTotal() const { return WindowTotal(NowMicros()); }
   double RatePerSec(std::uint64_t now_us) const;
   double RatePerSec() const { return RatePerSec(NowMicros()); }
-
-  std::int64_t epoch_us() const { return epoch_us_; }
-  int epochs() const { return epochs_; }
-  double window_seconds() const {
-    return static_cast<double>(epoch_us_) * epochs_ / 1e6;
-  }
-
-  void Reset();
-
- private:
-  struct Slot;
-
-  Slot* SlotFor(std::int64_t epoch);
-
-  const std::int64_t epoch_us_;
-  const int epochs_;
-  std::unique_ptr<Slot[]> slots_;
 };
 
 /// Append-only (step, value) sequence — per-epoch training curves,
@@ -260,15 +307,19 @@ class Metrics {
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
   Series* series(const std::string& name);
-  /// Windowed instruments take their window shape on first registration;
-  /// later lookups by the same name return the existing instrument (the
-  /// shape arguments are ignored then, like every other registry accessor).
+  /// Windowed instruments take their window shape and lifetime twin (the
+  /// registry instrument that also receives every record, or null) on
+  /// first registration; later lookups by the same name return the
+  /// existing instrument and ignore those arguments, like every other
+  /// registry accessor.
   WindowedCounter* windowed_counter(const std::string& name,
                                     std::int64_t epoch_us = 5'000'000,
-                                    int epochs = 12);
+                                    int epochs = 12,
+                                    Counter* lifetime = nullptr);
   WindowedHistogram* windowed_histogram(const std::string& name,
                                         std::int64_t epoch_us = 5'000'000,
-                                        int epochs = 12);
+                                        int epochs = 12,
+                                        Histogram* lifetime = nullptr);
 
   /// Number of registered instruments (all kinds).
   std::size_t NumSeries() const;

@@ -10,7 +10,7 @@
 namespace dlner::obs {
 
 namespace internal {
-thread_local std::uint64_t g_trace_ctx = 0;
+thread_local constinit std::uint64_t g_trace_ctx = 0;
 }  // namespace internal
 
 Tracer& Tracer::Get() {

@@ -94,7 +94,10 @@ class Tracer {
 
 namespace internal {
 /// Thread-local trace context (see ScopedTraceContext below). 0 = none.
-extern thread_local std::uint64_t g_trace_ctx;
+/// constinit: no dynamic initialization, so other translation units reach
+/// the variable directly instead of through a TLS wrapper call (which
+/// UBSan's null check misreports under GCC 12).
+extern thread_local constinit std::uint64_t g_trace_ctx;
 }  // namespace internal
 
 /// The calling thread's current trace context id (0 when none is set).

@@ -37,10 +37,11 @@
 // serve/request span plus serve/stage/{queue_wait,batch_wait,compute,
 // write} spans sharing the same "req" annotation; serve/batch spans carry
 // the ids they served and set the batch id as the thread's trace context,
-// so plan/batch spans nest attributably. Latency and stage histograms feed
-// both lifetime instruments (serve.request.latency_us, serve.stage.*) and
-// rolling serve.window.* instruments exported by the admin "metrics"
-// command and the --metrics-port Prometheus scrape; requests over
+// so plan/batch spans nest attributably. Each latency and stage quantity
+// is one windowed instrument that feeds both its rolling serve.window.*
+// view and its lifetime twin (serve.request.latency_us, serve.stage.*),
+// exported by the admin "metrics" command and the --metrics-port
+// Prometheus scrape; requests over
 // --slow-request-us emit a structured serve_slow_request log line with the
 // stage breakdown. See docs/SERVING.md.
 #ifndef DLNER_SERVE_SERVER_H_
@@ -147,22 +148,12 @@ class Server {
   /// Idempotent.
   void Stop();
 
-  /// Copies the server's internal counters into the obs metrics registry
-  /// (serve.requests_total, serve.responses_total, serve.rejected_total,
-  /// serve.errors_total, serve.cache.hits, serve.cache.misses,
-  /// serve.batches_total, serve.queue.peak_depth, ...). Call before
-  /// exporting metrics, like runtime::Runtime::PublishMetrics().
+  /// Refreshes the registry gauges derived at read time: serve.cache.size,
+  /// the rolling-window ratios (serve.window.cache_hit_rate, SLO
+  /// attainment, error budget) and the trace counters. Every other serve.*
+  /// instrument is updated live. Call before exporting metrics, like
+  /// runtime::Runtime::PublishMetrics().
   void PublishMetrics() const;
-
-  // Always-on lifetime counters (also the payload of the "stats" admin
-  // command, so they work without --metrics-out).
-  std::int64_t requests_total() const { return requests_.load(); }
-  std::int64_t responses_total() const { return responses_.load(); }
-  std::int64_t rejected_total() const { return rejected_.load(); }
-  std::int64_t errors_total() const { return errors_.load(); }
-  std::int64_t cache_hits() const { return cache_hits_.load(); }
-  std::int64_t cache_misses() const { return cache_misses_.load(); }
-  std::int64_t batches_total() const { return batches_.load(); }
 
  private:
   struct Conn;
@@ -202,19 +193,23 @@ class Server {
   void Respond(const Pending& pending, const std::string& line);
   void WriteLine(const std::shared_ptr<Conn>& conn, const std::string& line);
 
-  /// True while serve-side metric collection should run: always while the
-  /// scrape endpoint is configured, otherwise only under --metrics-out.
+  /// True while the latency/stage histograms and the per-model windows
+  /// should record: always while the scrape endpoint is configured,
+  /// otherwise only under --metrics-out. Counters record regardless.
   bool CollectMetrics() const {
     return metrics_always_ || obs::MetricsEnabled();
   }
   /// Deterministic per-request sampling decision (splitmix64 hash of the
   /// request id against config_.trace_sample_rate).
   bool SampleTrace(std::uint64_t req_id) const;
-  /// Tail of every answered tagging request: windowed + lifetime metrics,
-  /// per-model counters, SLO accounting, stage spans for sampled requests,
-  /// and the slow-request log line.
+  /// Tail of every answered tagging request: the response count, latency
+  /// and stage histograms, SLO accounting, stage spans for sampled
+  /// requests, and the slow-request log line.
   void FinishTagRequest(const Pending& pending, const std::string& model,
                         bool cached, const StageTimes& t);
+  /// Fraction of windowed responses at or under --slo-us (an idle window
+  /// counts as full attainment).
+  double SloAttainment(std::uint64_t now_us) const;
   /// serve.window.model.<model>.<what> with the server's window shape.
   obs::WindowedCounter* ModelWindow(const std::string& model,
                                     const char* what) const;
@@ -252,43 +247,36 @@ class Server {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
 
-  std::atomic<std::int64_t> requests_{0};
-  std::atomic<std::int64_t> responses_{0};
-  std::atomic<std::int64_t> rejected_{0};
-  std::atomic<std::int64_t> errors_{0};
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
-  std::atomic<std::int64_t> batches_{0};
-  std::atomic<std::int64_t> deadline_flushes_{0};
-  std::atomic<std::int64_t> size_flushes_{0};
-  std::atomic<std::int64_t> queue_peak_{0};
-  std::atomic<std::int64_t> reloads_{0};
-  std::atomic<std::int64_t> queue_depth_{0};  // live admission-queue depth
-  std::atomic<std::uint64_t> next_req_id_{0};
-  std::atomic<std::int64_t> slow_requests_{0};
+  std::atomic<std::uint64_t> next_req_id_{0};  // id source, not a metric
 
-  // Cached instrument pointers (stable for the process lifetime). The
-  // lifetime histograms keep their PR-7 names; the serve.window.* family
-  // is this server's rolling view and is Reset() in Start() so sequential
-  // in-process servers (tests, bench_serve) observe only their own
-  // traffic.
-  obs::Histogram* lat_hist_;
-  obs::Histogram* stage_queue_hist_;
-  obs::Histogram* stage_batch_hist_;
-  obs::Histogram* stage_compute_hist_;
-  obs::Histogram* stage_write_hist_;
-  obs::WindowedHistogram* win_latency_;
-  obs::WindowedHistogram* win_stage_queue_;
-  obs::WindowedHistogram* win_stage_batch_;
-  obs::WindowedHistogram* win_stage_compute_;
-  obs::WindowedHistogram* win_stage_write_;
-  obs::WindowedHistogram* win_batch_size_;
-  obs::WindowedCounter* win_responses_;
-  obs::WindowedCounter* win_errors_;
-  obs::WindowedCounter* win_rejected_;
-  obs::WindowedCounter* win_slo_ok_;
-  obs::WindowedCounter* win_cache_hits_;
-  obs::WindowedCounter* win_cache_misses_;
+  // One registry instrument per quantity, cached at construction (pointers
+  // are stable for the process lifetime) and zeroed in Start() so
+  // sequential in-process servers (tests, bench_serve) count only their own
+  // traffic. The counters are always on, so the "stats" admin command works
+  // without --metrics-out. Windowed instruments carry their lifetime twin:
+  // latency_ feeds serve.window.latency_us and serve.request.latency_us,
+  // responses_ feeds serve.window.responses and serve.responses_total, and
+  // so on (see the constructor).
+  obs::Counter* requests_;
+  obs::Counter* batches_;
+  obs::Counter* deadline_flushes_;
+  obs::Counter* size_flushes_;
+  obs::Counter* reloads_;
+  obs::Counter* slow_requests_;
+  obs::Gauge* queue_depth_;  // live admission-queue depth
+  obs::Gauge* queue_peak_;
+  obs::WindowedHistogram* latency_;
+  obs::WindowedHistogram* stage_queue_;
+  obs::WindowedHistogram* stage_batch_;
+  obs::WindowedHistogram* stage_compute_;
+  obs::WindowedHistogram* stage_write_;
+  obs::WindowedHistogram* batch_size_;
+  obs::WindowedCounter* responses_;
+  obs::WindowedCounter* errors_;
+  obs::WindowedCounter* rejected_;
+  obs::WindowedCounter* cache_hits_;
+  obs::WindowedCounter* cache_misses_;
+  obs::WindowedCounter* slo_ok_;  // window only: no lifetime twin
 };
 
 }  // namespace dlner::serve

@@ -671,12 +671,66 @@ TEST_F(ObsTest, WindowedCounterRollsOffExpiredEpochs) {
   EXPECT_EQ(c.WindowTotal(15'300), 0);
 }
 
+TEST_F(ObsTest, WindowedInstrumentsFeedTheirLifetimeTwin) {
+  Histogram lifetime_h;
+  Counter lifetime_c;
+  WindowedHistogram h(1000, 4, &lifetime_h);  // 4 x 1 ms window
+  WindowedCounter c(1000, 4, &lifetime_c);
+  // Epochs 0..11 are three full rotations of the 4-slot ring; epoch e
+  // records the value e + 1 once.
+  for (int e = 0; e < 12; ++e) {
+    const auto now = static_cast<std::uint64_t>(e) * 1000 + 500;
+    h.Observe(static_cast<double>(e + 1), now);
+    c.Add(e + 1, now);
+  }
+  // The lifetime twins hold every observation...
+  EXPECT_EQ(lifetime_h.count(), 12);
+  EXPECT_DOUBLE_EQ(lifetime_h.sum(), 78.0);
+  EXPECT_DOUBLE_EQ(lifetime_h.min(), 1.0);
+  EXPECT_DOUBLE_EQ(lifetime_h.max(), 12.0);
+  EXPECT_EQ(lifetime_c.value(), 78);
+  // ...while the window ending in epoch 11 holds epochs 8..11 only.
+  const HistogramSnapshot w = h.Read(11'600);
+  EXPECT_EQ(w.count, 4);
+  EXPECT_DOUBLE_EQ(w.sum, 9.0 + 10.0 + 11.0 + 12.0);
+  EXPECT_DOUBLE_EQ(w.min, 9.0);
+  EXPECT_DOUBLE_EQ(w.max, 12.0);
+  EXPECT_EQ(c.WindowTotal(11'600), 9 + 10 + 11 + 12);
+
+  // Reset empties the window and zeroes the twin.
+  h.Reset();
+  c.Reset();
+  EXPECT_EQ(h.Read(11'600).count, 0);
+  EXPECT_EQ(lifetime_h.count(), 0);
+  EXPECT_EQ(c.WindowTotal(11'600), 0);
+  EXPECT_EQ(lifetime_c.value(), 0);
+
+  // Registered through the registry, the twin is the named lifetime
+  // instrument and both export under their own names.
+  Metrics& m = Metrics::Get();
+  Counter* events = m.counter("t.events_total");
+  WindowedCounter* wc =
+      m.windowed_counter("t.win.events", 5'000'000, 12, events);
+  EXPECT_EQ(wc->lifetime(), events);
+  wc->Add(2);
+  wc->Add(3);
+  EXPECT_EQ(events->value(), 5);
+  EXPECT_EQ(wc->WindowTotal(), 5);
+  std::ostringstream os;
+  m.WritePrometheus(os);
+  EXPECT_NE(os.str().find("# TYPE t_events_total counter\nt_events_total 5"),
+            std::string::npos);
+  EXPECT_NE(os.str().find("# TYPE t_win_events gauge\nt_win_events 5"),
+            std::string::npos);
+}
+
 // Rotation under concurrency: writers sweep the fake clock across ~hundreds
 // of epochs while a reader merges slots. Run under the tsan preset, this
 // exercises the slot zero/re-tag path against concurrent relaxed recording;
 // the assertions only pin down what survives any interleaving.
 TEST_F(ObsTest, WindowedHistogramConcurrentObserveDuringRotation) {
-  WindowedHistogram h(50, 8);
+  Histogram lifetime;
+  WindowedHistogram h(50, 8, &lifetime);
   const std::uint64_t base = 1'000'000;
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 2000;
@@ -701,6 +755,8 @@ TEST_F(ObsTest, WindowedHistogramConcurrentObserveDuringRotation) {
   HistogramSnapshot s = h.Read(base + (kPerWriter - 1) * 7);
   EXPECT_GE(s.count, 0);
   EXPECT_LE(s.count, static_cast<std::int64_t>(kWriters) * kPerWriter);
+  // The lifetime twin never rotates: it holds every observation.
+  EXPECT_EQ(lifetime.count(), static_cast<std::int64_t>(kWriters) * kPerWriter);
 }
 
 TEST_F(ObsTest, SpanArgsAndTraceContextReachChromeTrace) {
@@ -810,7 +866,8 @@ TEST_F(ObsTest, WritePrometheusExpositionShape) {
   EXPECT_EQ(text.find("t_curve"), std::string::npos);
 
   // Exposition-format lint: every line is a comment or `name value` /
-  // `name{labels} value`, names restricted to [a-zA-Z0-9_:].
+  // `name{labels} value`, names restricted to [a-zA-Z0-9_:], and a sample
+  // named *_total is a monotonic count typed counter.
   std::istringstream lines(text);
   for (std::string line; std::getline(lines, line);) {
     ASSERT_FALSE(line.empty());
@@ -829,6 +886,10 @@ TEST_F(ObsTest, WritePrometheusExpositionShape) {
     for (const char c : name) {
       EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
                   c == ':')
+          << line;
+    }
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, "_total") == 0) {
+      EXPECT_NE(text.find("# TYPE " + name + " counter\n"), std::string::npos)
           << line;
     }
     const std::string value = line.substr(space + 1);

@@ -14,8 +14,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -266,6 +270,21 @@ TEST(CacheTest, CapacityZeroDisables) {
 // ---------------------------------------------------------------------------
 // Shared fixture: two tiny trained checkpoints (different seeds)
 
+// A per-process checkpoint path under the test temp dir, removed at exit.
+// ctest runs every test in its own process, and concurrent processes must
+// not rewrite a checkpoint another one is loading.
+std::string ProcessTempPath(const std::string& stem) {
+  static auto* paths = new std::vector<std::string>;
+  if (paths->empty()) {
+    std::atexit([] {
+      for (const std::string& p : *paths) std::remove(p.c_str());
+    });
+  }
+  paths->push_back(::testing::TempDir() + "/" + stem + "." +
+                   std::to_string(::getpid()) + ".bin");
+  return paths->back();
+}
+
 struct Models {
   std::string path1;
   std::string path2;
@@ -291,8 +310,8 @@ const Models& Fixture() {
     tc.epochs = 3;
     tc.lr = 0.02;
     const auto types = data::EntityTypesFor(data::Genre::kNews);
-    m->path1 = ::testing::TempDir() + "/serve_model1.bin";
-    m->path2 = ::testing::TempDir() + "/serve_model2.bin";
+    m->path1 = ProcessTempPath("serve_model1");
+    m->path2 = ProcessTempPath("serve_model2");
     core::Pipeline::Train(config, tc, m->corpus, nullptr, types)
         ->Save(m->path1);
     config.seed = 99;
@@ -433,6 +452,31 @@ int ErrorCodeOf(const std::string& line) {
   return std::atoi(line.c_str() + pos + 7);
 }
 
+// The response count and the latency, stage and SLO accounting run after a
+// response's socket write (the latency includes it), so they can trail the
+// client's read of that response by a moment. Re-runs `fetch` until its
+// result contains every needle, or ~5 s pass, and returns the last result.
+template <typename Fetch>
+std::string FetchUntil(Fetch fetch, const std::vector<std::string>& needles) {
+  std::string got;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    got = fetch();
+    bool all = true;
+    for (const std::string& n : needles) {
+      all = all && got.find(n) != std::string::npos;
+    }
+    if (all) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return got;
+}
+
+// A serve.* lifetime count: the server records into the registry counter
+// directly (zeroed by Server::Start).
+std::int64_t Total(const char* name) {
+  return obs::Metrics::Get().counter(name)->value();
+}
+
 TEST(ServerTest, ServedResponsesMatchTagCorpusBitIdentically) {
   const Models& m = Fixture();
   ModelRegistry registry;
@@ -472,9 +516,9 @@ TEST(ServerTest, ServedResponsesMatchTagCorpusBitIdentically) {
     EXPECT_EQ(got[i], ExpectedLine(i, "default", false,
                                    subset.sentences[i].tokens, expected[i]));
   }
-  EXPECT_EQ(server.responses_total(), subset.size());
-  EXPECT_EQ(server.errors_total(), 0);
-  server.Stop();
+  server.Stop();  // joins the batcher: every response is counted
+  EXPECT_EQ(Total("serve.responses_total"), subset.size());
+  EXPECT_EQ(Total("serve.errors_total"), 0);
 }
 
 TEST(ServerTest, CacheHitIsBitIdenticalAndMarked) {
@@ -496,8 +540,8 @@ TEST(ServerTest, CacheHitIsBitIdenticalAndMarked) {
   const std::vector<text::Span> spans = m.pipeline1->Tag(tokens);
   EXPECT_EQ(first, ExpectedLine(1, "default", false, tokens, spans));
   EXPECT_EQ(second, ExpectedLine(2, "default", true, tokens, spans));
-  EXPECT_EQ(server.cache_hits(), 1);
-  EXPECT_EQ(server.cache_misses(), 1);
+  EXPECT_EQ(Total("serve.cache.hits"), 1);
+  EXPECT_EQ(Total("serve.cache.misses"), 1);
   server.Stop();
 }
 
@@ -580,7 +624,7 @@ TEST(ServerTest, QueueFullRejectsWith429ThenRecovers) {
     if (ErrorCodeOf(line) == kQueueFull) ++rejected;
   }
   EXPECT_GT(rejected, 0);
-  EXPECT_EQ(server.rejected_total(), rejected);
+  EXPECT_EQ(Total("serve.rejected_total"), rejected);
   // The parked request was answered correctly despite the rejections.
   const std::string expected0 =
       ExpectedLine(0, "default", false, m.corpus.sentences[0].tokens,
@@ -627,6 +671,13 @@ TEST(ServerTest, HotReloadUnderLoadNeverDropsRequests) {
       received.fetch_add(1);
     }
   });
+
+  // Traffic must be flowing before the first reload lands: on a loaded
+  // host the three reloads can otherwise finish before the hammer's first
+  // round trip.
+  while (received.load() == 0 && bad.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   TestClient admin(port);
   ASSERT_TRUE(admin.ok());
@@ -734,8 +785,8 @@ const DocModels& DocFixture() {
     tc.lr = 0.02;
     const auto types =
         data::ScenarioEntityTypes(data::Scenario::kEntityConsistency);
-    m->path1 = ::testing::TempDir() + "/serve_doc_model1.bin";
-    m->path2 = ::testing::TempDir() + "/serve_doc_model2.bin";
+    m->path1 = ProcessTempPath("serve_doc_model1");
+    m->path2 = ProcessTempPath("serve_doc_model2");
     core::Pipeline::Train(config, tc, split.train, nullptr, types)
         ->Save(m->path1);
     config.seed = 23;
@@ -889,8 +940,12 @@ TEST(ServerTest, AdminModelsStatsAndShutdown) {
                                             "alt")));
   ASSERT_FALSE(client.ReadLine().empty());
 
-  ASSERT_TRUE(client.SendLine(R"({"cmd":"stats"})"));
-  const std::string stats = client.ReadLine();
+  const std::string stats = FetchUntil(
+      [&] {
+        client.SendLine(R"({"cmd":"stats"})");
+        return client.ReadLine();
+      },
+      {"\"responses\":1"});
   EXPECT_NE(stats.find("\"responses\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"requests\":"), std::string::npos) << stats;
 
@@ -975,8 +1030,12 @@ TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
   ASSERT_TRUE(client.SendLine(TokensRequest(2, tokens)));  // cache hit
   ASSERT_FALSE(client.ReadLine().empty());
 
-  ASSERT_TRUE(client.SendLine(R"({"cmd":"stats"})"));
-  const std::string stats = client.ReadLine();
+  const std::string stats = FetchUntil(
+      [&] {
+        client.SendLine(R"({"cmd":"stats"})");
+        return client.ReadLine();
+      },
+      {"\"responses\":2", "\"slo_attainment\":1"});
   EXPECT_NE(stats.find("\"queue_depth\":0"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"window\":{"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"responses\":2"), std::string::npos) << stats;
@@ -987,15 +1046,19 @@ TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
 
   // The metrics command carries the Prometheus exposition as a JSON string
   // (same bytes the --metrics-port scrape serves), id echoed when given.
-  ASSERT_TRUE(client.SendLine(R"({"cmd":"metrics"})"));
-  const std::string metrics = client.ReadLine();
+  const std::string metrics = FetchUntil(
+      [&] {
+        client.SendLine(R"({"cmd":"metrics"})");
+        return client.ReadLine();
+      },
+      {"serve_slow_requests_total 2"});
   EXPECT_NE(metrics.find("\"metrics\":\""), std::string::npos) << metrics;
   EXPECT_NE(metrics.find("# TYPE"), std::string::npos);
   EXPECT_NE(metrics.find("serve_window_latency_us"), std::string::npos);
 
   server.PublishMetrics();
   obs::Metrics& reg = obs::Metrics::Get();
-  EXPECT_GE(reg.gauge("serve.slow_requests_total")->value(), 2.0);
+  EXPECT_GE(reg.counter("serve.slow_requests_total")->value(), 2);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.window.cache_hit_rate")->value(), 0.5);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.window.slo_attainment")->value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.queue.depth")->value(), 0.0);
@@ -1026,7 +1089,10 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
   ASSERT_TRUE(client.SendLine(TokensRequest(1, m.corpus.sentences[6].tokens)));
   ASSERT_FALSE(client.ReadLine().empty());
 
-  const std::string scrape = HttpGet(server.metrics_port());
+  const std::string scrape =
+      FetchUntil([&] { return HttpGet(server.metrics_port()); },
+                 {"serve_window_latency_us_count 1",
+                  "serve_window_slo_attainment 1"});
   EXPECT_NE(scrape.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(scrape.find("text/plain; version=0.0.4"), std::string::npos);
   const std::size_t header_end = scrape.find("\r\n\r\n");
@@ -1052,10 +1118,70 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
   EXPECT_NE(body.find("serve_window_model_default_requests 1"),
             std::string::npos);
 
+  // Monotonic counts are Prometheus counters: every sample whose name ends
+  // in _total is typed counter (rate() rejects gauges).
+  EXPECT_NE(body.find("# TYPE serve_requests_total counter\n"),
+            std::string::npos);
+  std::istringstream lines(body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, "_total") == 0) {
+      EXPECT_NE(body.find("# TYPE " + name + " counter\n"), std::string::npos)
+          << name;
+    }
+  }
+
   // The listener survives repeated polls.
   EXPECT_NE(HttpGet(server.metrics_port()).find("200 OK"), std::string::npos);
   server.Stop();
   obs::Metrics::Get().ResetAll();
+}
+
+TEST(ServerTest, CountsAndWindowsRecordWithCollectionOff) {
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.max_line_bytes = 256;
+  Server server(&registry, config);
+  obs::EnableMetrics(false);  // no --metrics-out, no --metrics-port
+  ASSERT_TRUE(server.Start());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string>& tokens = m.corpus.sentences[3].tokens;
+  for (int i = 0; i < 3; ++i) {  // one batch-path miss, then two cache hits
+    ASSERT_TRUE(client.SendLine(TokensRequest(i, tokens)));
+    ASSERT_FALSE(client.ReadLine().empty());
+  }
+  // An oversized line is rejected before parsing; it still counts as an
+  // error in both the lifetime and the windowed view.
+  ASSERT_TRUE(client.SendLine(
+      "{\"id\":9,\"text\":\"" + std::string(1024, 'x') + "\"}"));
+  EXPECT_EQ(ErrorCodeOf(client.ReadLine()), kTooLarge);
+
+  const std::string lifetime_counts =
+      "\"responses\":3,\"rejected\":0,\"errors\":1,";
+  const std::string window_counts = "\"responses\":3,\"errors\":1,";
+  const std::string stats = FetchUntil(
+      [&] {
+        client.SendLine(R"({"cmd":"stats"})");
+        return client.ReadLine();
+      },
+      {lifetime_counts, window_counts});
+  const std::size_t window_pos = stats.find("\"window\":{");
+  ASSERT_NE(window_pos, std::string::npos) << stats;
+  const std::string lifetime = stats.substr(0, window_pos);
+  const std::string window = stats.substr(window_pos);
+  EXPECT_NE(lifetime.find(lifetime_counts), std::string::npos) << stats;
+  EXPECT_NE(window.find(window_counts), std::string::npos) << stats;
+  EXPECT_NE(window.find("\"cache_hits\":2,\"cache_misses\":1,"),
+            std::string::npos)
+      << stats;
+  EXPECT_EQ(Total("serve.responses_total"), 3);
+  EXPECT_EQ(Total("serve.errors_total"), 1);
+  server.Stop();
 }
 
 TEST(ServerTest, SampledRequestsReconstructStageSpans) {

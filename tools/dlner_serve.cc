@@ -23,6 +23,7 @@
 #include <string>
 
 #include "core/flags.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "tools/tool_common.h"
 
@@ -192,10 +193,12 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, OnSignal);
   server.Wait(&g_interrupted);
   server.Stop();
+  const auto count = [](const char* name) {
+    return static_cast<long long>(obs::Metrics::Get().counter(name)->value());
+  };
   std::printf("served %lld responses (%lld rejected, %lld cache hits)\n",
-              static_cast<long long>(server.responses_total()),
-              static_cast<long long>(server.rejected_total()),
-              static_cast<long long>(server.cache_hits()));
+              count("serve.responses_total"), count("serve.rejected_total"),
+              count("serve.cache.hits"));
 
   server.PublishMetrics();
   return tools::FlushObsArtifacts(args) ? 0 : 1;
