@@ -28,6 +28,8 @@
 //       The run fails when a point's stage means do not add up to its
 //       serve.request.latency_us mean within 10% + 50 us.
 //   bench.serve.responses_total         total tagged responses, all points
+//   bench.hardware_concurrency, bench.simd_isa   the host (as in
+//                                       bench_throughput)
 //
 // After the f32 sweep, one extra frontier point is replayed at the highest
 // load factor against a quantized-serving registry (int8 planned path, see
@@ -65,6 +67,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "tensor/quant.h"
+#include "tensor/simd/simd.h"
 
 namespace {
 
@@ -386,10 +389,12 @@ int main(int argc, char** argv) {
   const double sample_rate = args.GetDouble("trace-sample-rate", 0.01);
   std::vector<double> loads;
   {
-    // Closed-loop capacity is deflated by the batch deadline (one request
-    // in flight waits out batch_delay_us every round trip), so open-loop
-    // micro-batched throughput typically exceeds 1.0x; the high multiplier
-    // probes actual saturation.
+    // Closed-loop capacity keeps one request in flight, so every round trip
+    // is a batch of one plus the batcher's wake-up and the client's
+    // turnaround. Open-loop load above 1.0x queues requests behind the
+    // running batch, they leave together as larger batches, and throughput
+    // can pass 1.0x until batching stops amortizing; the high multiplier
+    // probes that saturation.
     const std::string spec_str = args.Get("loads", "0.5,1.0,2.0,8.0");
     std::size_t pos = 0;
     while (pos < spec_str.size()) {
@@ -524,6 +529,9 @@ int main(int argc, char** argv) {
   }
 
   obs::Metrics& m = obs::Metrics::Get();
+  m.gauge("bench.hardware_concurrency")
+      ->Set(static_cast<double>(std::thread::hardware_concurrency()));
+  m.gauge("bench.simd_isa")->Set(static_cast<double>(simd::kIsaId));
   m.gauge("bench.serve.capacity_rps")->Set(capacity);
   m.gauge("bench.serve.trace_sample_rate")->Set(sample_rate);
   m.gauge("bench.serve.load_points")

@@ -31,6 +31,7 @@ struct Server::Conn {
   const int fd;
   std::mutex write_mu;  // serializes response lines
   std::atomic<bool> dead{false};
+  std::atomic<bool> reader_done{false};  // ConnLoop returned; reapable
 
   // Document state for "doc":true requests: the connection IS the document.
   // Lives on the connection (not the model entry), so a hot reload
@@ -62,7 +63,6 @@ Server::Server(ModelRegistry* registry, const ServeConfig& config)
   obs::Metrics& m = obs::Metrics::Get();
   requests_ = m.counter("serve.requests_total");
   batches_ = m.counter("serve.batches_total");
-  deadline_flushes_ = m.counter("serve.batch.deadline_flushes");
   size_flushes_ = m.counter("serve.batch.size_flushes");
   reloads_ = m.counter("serve.reloads_total");
   slow_requests_ = m.counter("serve.slow_requests_total");
@@ -147,8 +147,8 @@ bool Server::Start() {
        {responses_, errors_, rejected_, cache_hits_, cache_misses_, slo_ok_}) {
     wc->Reset();
   }
-  for (obs::Counter* c : {requests_, batches_, deadline_flushes_,
-                          size_flushes_, reloads_, slow_requests_}) {
+  for (obs::Counter* c :
+       {requests_, batches_, size_flushes_, reloads_, slow_requests_}) {
     c->Reset();
   }
   queue_depth_->Reset();
@@ -252,9 +252,26 @@ void Server::AcceptLoop() {
       ::shutdown(fd, SHUT_RDWR);
       return;
     }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
+    ReapReaders();
+    readers_.push_back(Reader{conn, std::thread([this, conn] {
+                                ConnLoop(conn);
+                                conn->reader_done.store(true);
+                              })});
   }
+}
+
+void Server::ReapReaders() {
+  // A reader is done once its flag is set, or once its Conn is gone (the
+  // thread's own copy of the shared_ptr is released only as it exits).
+  // Either way the join returns at once.
+  auto done = [](Reader& r) {
+    const std::shared_ptr<Conn> conn = r.conn.lock();
+    if (conn != nullptr && !conn->reader_done.load()) return false;
+    r.thread.join();
+    return true;
+  };
+  readers_.erase(std::remove_if(readers_.begin(), readers_.end(), done),
+                 readers_.end());
 }
 
 void Server::ConnLoop(std::shared_ptr<Conn> conn) {
@@ -415,10 +432,22 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
 }
 
 obs::WindowedCounter* Server::ModelWindow(const std::string& model,
-                                          const char* what) const {
-  return obs::Metrics::Get().windowed_counter(
-      "serve.window.model." + model + "." + what, config_.window_epoch_us,
-      config_.window_epochs);
+                                          const char* what) {
+  std::string name = "serve.window.model." + model + "." + what;
+  {
+    std::lock_guard<std::mutex> lock(model_windows_mu_);
+    const auto it = model_windows_.find(name);
+    if (it != model_windows_.end()) return it->second;
+  }
+  // First use of this name: resolve outside model_windows_mu_, so a render
+  // holding the registry mutex stalls only this request. The registry
+  // returns the same instrument for the same name, so a racing first use
+  // resolves the same pointer.
+  obs::WindowedCounter* const window = obs::Metrics::Get().windowed_counter(
+      name, config_.window_epoch_us, config_.window_epochs);
+  std::lock_guard<std::mutex> lock(model_windows_mu_);
+  model_windows_.emplace(std::move(name), window);
+  return window;
 }
 
 void Server::FinishTagRequest(const Pending& pending, const std::string& model,
@@ -578,40 +607,24 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req,
   shutdown_cv_.notify_all();
 }
 
+// Continuous batching: the batcher never waits on a timer. As soon as it is
+// free and the queue is non-empty it takes the head request's model and up
+// to batch_max queued requests of that model. Requests that arrive while a
+// batch executes pile up and form the next batch, so batches grow with load
+// and an idle server dispatches a lone request at once.
 void Server::BatchLoop() {
   for (;;) {
     std::vector<Pending> batch;
-    bool deadline_flush = false;
     std::uint64_t collect_start_us = 0;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
                      [this] { return stopping_.load() || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_.load()) return;
-        continue;
-      }
-      // From here until the batch is popped the head request is waiting on
-      // batch formation (batch_wait); everything before was queue_wait
-      // (head-of-line blocking behind the previous in-flight batch).
+      if (queue_.empty()) return;  // stopping, and every request answered
+      // Everything before this instant was queue_wait (the batcher was
+      // busy, or waking); the scan below is batch_wait.
       collect_start_us = obs::NowMicros();
       const std::string model = queue_.front().request.model;
-      const std::uint64_t deadline =
-          queue_.front().arrival_us +
-          static_cast<std::uint64_t>(config_.batch_delay_us);
-      auto same_model_count = [&] {
-        int count = 0;
-        for (const Pending& p : queue_) {
-          if (p.request.model == model) ++count;
-        }
-        return count;
-      };
-      while (!stopping_.load() && same_model_count() < config_.batch_max) {
-        const std::uint64_t now = obs::NowMicros();
-        if (now >= deadline) break;
-        queue_cv_.wait_for(lock, std::chrono::microseconds(deadline - now));
-      }
-      deadline_flush = same_model_count() < config_.batch_max;
       for (auto it = queue_.begin();
            it != queue_.end() &&
            static_cast<int>(batch.size()) < config_.batch_max;) {
@@ -624,7 +637,9 @@ void Server::BatchLoop() {
       }
       queue_depth_->Set(static_cast<double>(queue_.size()));
     }
-    (deadline_flush ? deadline_flushes_ : size_flushes_)->Add(1);
+    if (static_cast<int>(batch.size()) == config_.batch_max) {
+      size_flushes_->Add(1);
+    }
     ExecuteBatch(std::move(batch), collect_start_us, obs::NowMicros());
   }
 }
@@ -684,11 +699,9 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
     const Pending& p = batch[i];
     StageTimes t;
     t.arrival_us = p.arrival_us;
-    // A request that arrived while the batch was already forming waited in
-    // no queue at all: clamp its queue_wait to zero and start batch_wait
-    // at its own arrival.
-    t.queue_end_us = std::clamp(collect_start_us, p.arrival_us,
-                                collect_end_us);
+    // The batch is taken in one scan under queue_mu_, so every request in
+    // it was queued before collect_start_us.
+    t.queue_end_us = collect_start_us;
     t.batch_end_us = collect_end_us;
     t.compute_start_us = compute_start_us;
     t.compute_end_us = compute_end_us;
@@ -765,6 +778,10 @@ void Server::Stop() {
   }
   // 2. Drain the batcher: stopping_ is set, so readers now reject new
   //    requests with 503 while everything already admitted is answered.
+  //    Taking queue_mu_ orders the store before the batcher's predicate
+  //    check: a batcher between its check and its wait holds the mutex, so
+  //    the notify below cannot fall into that gap.
+  { std::lock_guard<std::mutex> lock(queue_mu_); }
   queue_cv_.notify_all();
   if (batcher_.joinable()) batcher_.join();
   // 2b. Take down the metrics scrape listener (same shutdown-then-join
@@ -775,18 +792,17 @@ void Server::Stop() {
     ::close(metrics_listen_fd_);
     metrics_listen_fd_ = -1;
   }
-  // 3. Unblock and join the connection readers.
+  // 3. Unblock and join the connection readers the accept loop has not
+  //    reaped yet.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const std::weak_ptr<Conn>& weak : conns_) {
-      if (const std::shared_ptr<Conn> conn = weak.lock()) {
+    for (const Reader& r : readers_) {
+      if (const std::shared_ptr<Conn> conn = r.conn.lock()) {
         ::shutdown(conn->fd, SHUT_RDWR);
       }
     }
   }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (Reader& r : readers_) r.thread.join();
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);
     shutdown_requested_ = true;

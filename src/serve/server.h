@@ -12,9 +12,10 @@
 //              bounded admission queue   (full -> 429 error response)
 //                     │
 //                     ▼
-//               batcher thread: flush by deadline-or-size
-//                     │  groups queued requests by model, up to batch_max
-//                     │  or when the oldest has waited batch_delay_us
+//               batcher thread: continuous batching
+//                     │  as soon as it is free, takes the head request's
+//                     │  model and up to batch_max queued requests of it;
+//                     │  whatever arrives meanwhile forms the next batch
 //                     ▼
 //            Pipeline::TagCorpus  (compiled plan: packed ragged
 //            micro-batches over arena-backed buffers, src/plan/)
@@ -55,6 +56,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -71,10 +73,9 @@ struct ServeConfig {
   int port = 0;
   /// Admission-queue bound; a full queue rejects with a 429 error response.
   int queue_capacity = 256;
-  /// Flush a micro-batch at this many queued requests for one model...
+  /// Largest micro-batch: the batcher takes at most this many queued
+  /// requests of one model at a time.
   int batch_max = 16;
-  /// ...or once the oldest queued request has waited this long.
-  std::int64_t batch_delay_us = 2000;
   /// LRU response-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
   /// Request lines longer than this are rejected with a 413 error response
@@ -167,11 +168,12 @@ class Server {
   };
 
   /// Stage boundary timestamps of one tagging request (obs::NowMicros()).
-  /// queue_wait = queue_end - arrival (head-of-line time before the
-  /// batcher started collecting this batch), batch_wait = batch_end -
-  /// queue_end (deadline-or-size collection), compute = the TagCorpus
-  /// call, write = doc fold + payload build + cache fill + socket write.
-  /// Cache hits collapse everything but write onto the arrival instant.
+  /// queue_wait = queue_end - arrival (time in the queue until the batcher,
+  /// free again, woke and started taking this batch: it covers the batches
+  /// executed meanwhile), batch_wait = batch_end - queue_end (the queue
+  /// scan that takes the batch), compute = the TagCorpus call, write = doc
+  /// fold + payload build + cache fill + socket write. Cache hits collapse
+  /// everything but write onto the arrival instant.
   struct StageTimes {
     std::uint64_t arrival_us = 0;
     std::uint64_t queue_end_us = 0;
@@ -190,6 +192,10 @@ class Server {
   void BatchLoop();
   void ExecuteBatch(std::vector<Pending> batch, std::uint64_t collect_start_us,
                     std::uint64_t collect_end_us);
+  /// Joins the reader threads whose connection loop has returned (called
+  /// on each accept, under conn_mu_), so past connections do not keep
+  /// their thread stacks until Stop().
+  void ReapReaders();
   void Respond(const Pending& pending, const std::string& line);
   void WriteLine(const std::shared_ptr<Conn>& conn, const std::string& line);
 
@@ -211,8 +217,11 @@ class Server {
   /// counts as full attainment).
   double SloAttainment(std::uint64_t now_us) const;
   /// serve.window.model.<model>.<what> with the server's window shape.
+  /// Resolved through the metrics registry once per name and served from
+  /// model_windows_ afterwards, so tagging requests do not take the
+  /// registry mutex that a Prometheus render holds throughout.
   obs::WindowedCounter* ModelWindow(const std::string& model,
-                                    const char* what) const;
+                                    const char* what);
 
   bool StartMetricsListener();
   void MetricsLoop();
@@ -235,9 +244,12 @@ class Server {
   std::thread listener_;
   std::thread batcher_;
   std::thread metrics_thread_;
-  std::mutex conn_mu_;  // guards conns_ and conn_threads_
-  std::vector<std::weak_ptr<Conn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  struct Reader {
+    std::weak_ptr<Conn> conn;
+    std::thread thread;  // runs ConnLoop(conn)
+  };
+  std::mutex conn_mu_;  // guards readers_
+  std::vector<Reader> readers_;
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -259,8 +271,7 @@ class Server {
   // so on (see the constructor).
   obs::Counter* requests_;
   obs::Counter* batches_;
-  obs::Counter* deadline_flushes_;
-  obs::Counter* size_flushes_;
+  obs::Counter* size_flushes_;  // batches that took batch_max requests
   obs::Counter* reloads_;
   obs::Counter* slow_requests_;
   obs::Gauge* queue_depth_;  // live admission-queue depth
@@ -277,6 +288,9 @@ class Server {
   obs::WindowedCounter* cache_hits_;
   obs::WindowedCounter* cache_misses_;
   obs::WindowedCounter* slo_ok_;  // window only: no lifetime twin
+
+  std::mutex model_windows_mu_;  // guards model_windows_
+  std::unordered_map<std::string, obs::WindowedCounter*> model_windows_;
 };
 
 }  // namespace dlner::serve

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -589,51 +590,201 @@ TEST(ServerTest, MalformedAndOversizedLinesKeepConnectionAlive) {
   server.Stop();
 }
 
+// A sentence of `n` corpus words, cycled. Tagging it keeps the batcher busy
+// long enough for the lines sent behind it in the same write to queue up.
+constexpr int kBusyTokens = 20000;
+std::vector<std::string> BusySentence(const text::Corpus& corpus,
+                                      int n = kBusyTokens) {
+  std::vector<std::string> words;
+  for (const auto& sentence : corpus.sentences) {
+    words.insert(words.end(), sentence.tokens.begin(), sentence.tokens.end());
+  }
+  std::vector<std::string> tokens;
+  for (int i = 0; i < n; ++i) tokens.push_back(words[i % words.size()]);
+  return tokens;
+}
+
+// The id a response line echoes, or -1.
+int IdOf(const std::string& line) {
+  const std::size_t pos = line.find("\"id\":");
+  return pos == std::string::npos ? -1 : std::atoi(line.c_str() + pos + 5);
+}
+
 TEST(ServerTest, QueueFullRejectsWith429ThenRecovers) {
   const Models& m = Fixture();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", m.path1));
   ServeConfig config;
   config.queue_capacity = 1;
-  config.batch_max = 16;
-  config.batch_delay_us = 300000;  // park the first request ~300ms
   config.cache_capacity = 0;
+  config.max_tokens = kBusyTokens;
   Server server(&registry, config);
   ASSERT_TRUE(server.Start());
 
+  // Request 0 keeps the batcher busy; the probes arrive in the same write,
+  // so they reach the queue while it executes. With capacity 1 at most one
+  // probe parks there (or request 0 itself, if the batcher has not taken it
+  // yet) and the rest must be rejected.
+  const std::vector<std::string> busy = BusySentence(m.corpus);
+  const std::vector<std::string>& probe = m.corpus.sentences[1].tokens;
+  const int kProbes = 12;
+  std::string burst = TokensRequest(0, busy) + "\n";
+  for (int i = 0; i < kProbes; ++i) {
+    burst += TokensRequest(100 + i, probe) + "\n";
+  }
   TestClient client(server.port());
   ASSERT_TRUE(client.ok());
-  // Distinct sentences so no request short-circuits through the cache path.
-  ASSERT_TRUE(client.SendLine(TokensRequest(0, m.corpus.sentences[0].tokens)));
-  // The first request parks in the queue until the batch deadline; with
-  // capacity 1 the probes below race that window, so (nearly) all of them
-  // must be rejected immediately.
-  const int kProbes = 12;
-  for (int i = 0; i < kProbes; ++i) {
-    ASSERT_TRUE(client.SendLine(
-        TokensRequest(100 + i, m.corpus.sentences[1].tokens)));
-  }
-  // Read everything back: one eventual success for id 0, and each probe
-  // either succeeded (queue had drained) or got a 429.
+  ASSERT_TRUE(client.SendRaw(burst));
+
+  // Read everything back: request 0 and each admitted probe answered, every
+  // other probe a 429.
+  const std::vector<text::Span> probe_spans = m.pipeline1->Tag(probe);
   int rejected = 0;
-  std::vector<std::string> lines;
+  bool saw_busy = false;
   for (int i = 0; i < kProbes + 1; ++i) {
     const std::string line = client.ReadLine();
     ASSERT_FALSE(line.empty());
-    lines.push_back(line);
-    if (ErrorCodeOf(line) == kQueueFull) ++rejected;
+    if (ErrorCodeOf(line) == kQueueFull) {
+      ++rejected;
+    } else if (IdOf(line) == 0) {
+      saw_busy = true;
+      EXPECT_EQ(line, ExpectedLine(0, "default", false, busy,
+                                   m.pipeline1->Tag(busy)));
+    } else {
+      // A parked probe, answered byte-identically despite the rejections.
+      EXPECT_EQ(line, ExpectedLine(IdOf(line), "default", false, probe,
+                                   probe_spans));
+    }
   }
   EXPECT_GT(rejected, 0);
   EXPECT_EQ(Total("serve.rejected_total"), rejected);
-  // The parked request was answered correctly despite the rejections.
-  const std::string expected0 =
-      ExpectedLine(0, "default", false, m.corpus.sentences[0].tokens,
-                   m.pipeline1->Tag(m.corpus.sentences[0].tokens));
-  bool saw_parked = false;
-  for (const std::string& line : lines) {
-    if (line == expected0) saw_parked = true;
+  EXPECT_TRUE(saw_busy);
+
+  // Once the queue drains, the same connection is served again.
+  ASSERT_TRUE(client.SendLine(TokensRequest(200, probe)));
+  EXPECT_EQ(client.ReadLine(),
+            ExpectedLine(200, "default", false, probe, probe_spans));
+  server.Stop();
+}
+
+TEST(ServerTest, IdleServerDispatchesWithoutWaiting) {
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.cache_capacity = 0;
+  config.metrics_port = 0;  // stage histograms record
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  const std::vector<std::string>& tokens = m.corpus.sentences[7].tokens;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.SendLine(TokensRequest(1, tokens)));
+  EXPECT_EQ(client.ReadLine(),
+            ExpectedLine(1, "default", false, tokens, m.pipeline1->Tag(tokens)));
+  server.Stop();  // joins the batcher: the request's stages are recorded
+
+  // A lone request on an idle server is dispatched at once: its batch_wait
+  // is the queue scan, not a flush deadline.
+  const obs::HistogramSnapshot batch_wait =
+      obs::Metrics::Get().histogram("serve.stage.batch_wait_us")->Snapshot();
+  ASSERT_EQ(batch_wait.count, 1);
+  EXPECT_LT(batch_wait.max, 1000.0);
+  EXPECT_EQ(Total("serve.batches_total"), 1);
+}
+
+TEST(ServerTest, PipelinedBurstBatchesBehindTheBusyBatcher) {
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.cache_capacity = 0;
+  config.max_tokens = kBusyTokens;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  // Request 0 occupies the batcher; the corpus sentences sent behind it in
+  // the same write pile up in the queue and leave in batches of batch_max.
+  text::Corpus burst;
+  burst.sentences.push_back(text::Sentence{});
+  burst.sentences[0].tokens = BusySentence(m.corpus);
+  for (const auto& sentence : m.corpus.sentences) {
+    burst.sentences.push_back(sentence);
   }
-  EXPECT_TRUE(saw_parked);
+  const int n = burst.size();
+  const std::vector<std::vector<text::Span>> expected =
+      m.pipeline1->TagCorpus(burst);
+  std::string bytes;
+  for (int i = 0; i < n; ++i) {
+    bytes += TokensRequest(i, burst.sentences[i].tokens) + "\n";
+  }
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.SendRaw(bytes));
+  std::vector<std::string> got(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const std::string line = client.ReadLine();
+    ASSERT_FALSE(line.empty());
+    const int id = IdOf(line);
+    ASSERT_GE(id, 0) << line;
+    ASSERT_LT(id, n) << line;
+    got[static_cast<std::size_t>(id)] = line;
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)],
+              ExpectedLine(i, "default", false, burst.sentences[i].tokens,
+                           expected[static_cast<std::size_t>(i)]))
+        << "request " << i;
+  }
+  server.Stop();
+  EXPECT_LT(Total("serve.batches_total"), n);
+  EXPECT_GE(Total("serve.batch.size_flushes"), 1);
+  EXPECT_EQ(Total("serve.responses_total"), n);
+}
+
+// A field of /proc/self/status as a number ("VmSize:" in kB, "Threads:"),
+// or 0 if unreadable.
+std::int64_t ProcStatus(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind(field, 0) == 0) {
+      return std::atoll(line.c_str() + field.size());
+    }
+  }
+  return 0;
+}
+
+TEST(ServerTest, FinishedConnectionThreadsAreReaped) {
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  const std::vector<std::string>& tokens = m.corpus.sentences[8].tokens;
+  const auto cycle = [&](int id) {
+    const std::int64_t threads = ProcStatus("Threads:");
+    {
+      TestClient client(server.port());
+      ASSERT_TRUE(client.ok());
+      ASSERT_TRUE(client.SendLine(TokensRequest(id, tokens)));
+      ASSERT_FALSE(client.ReadLine().empty());
+    }  // close: the connection's reader thread sees EOF and returns
+    // Wait for that thread to exit, so connections do not overlap and the
+    // allocator's per-thread arenas do not grow with the host's load.
+    for (int i = 0; i < 2000 && ProcStatus("Threads:") > threads; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  for (int i = 0; i < 8; ++i) cycle(i);  // warm up
+  const std::int64_t before_kb = ProcStatus("VmSize:");
+  ASSERT_GT(before_kb, 0);
+  // An exited but unjoined thread keeps its whole stack mapped (8 MB by
+  // default): 200 of them would grow VmSize by about 1.6 GB.
+  for (int i = 0; i < 200; ++i) cycle(100 + i);
+  EXPECT_LT(ProcStatus("VmSize:") - before_kb, 256 * 1024);
   server.Stop();
 }
 
